@@ -1681,9 +1681,12 @@ pub(crate) fn drive(
                 // Detection latency stays in request-index units in both
                 // modes (cache dynamics are identical at admission time).
                 if !outstanding.is_empty() {
-                    let still: Vec<u128> = engine.p2p(0).crashed_ids().map(|n| n.0).collect();
-                    let detected_now: Vec<u128> =
-                        outstanding.keys().filter(|k| !still.contains(k)).copied().collect();
+                    let p2p = engine.p2p(0);
+                    let detected_now: Vec<u128> = outstanding
+                        .keys()
+                        .filter(|&&k| !p2p.is_crashed(NodeId(k)))
+                        .copied()
+                        .collect();
                     for key in detected_now {
                         let crashed_at =
                             outstanding.remove(&key).expect("key came from outstanding");

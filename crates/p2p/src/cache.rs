@@ -659,12 +659,7 @@ impl P2PClientCache {
         }
         // Phase 1: detect one silent corpse per round (cheapest-first
         // deterministic order), parking its objects in limbo for phase 2.
-        let corpse = {
-            let mut crashed: Vec<NodeId> =
-                self.overlay.crashed_ids().filter(|n| self.nodes.contains_key(&n.0)).collect();
-            crashed.sort_unstable_by_key(|n| n.0);
-            crashed.first().copied()
-        };
+        let corpse = self.overlay.crashed_ids().find(|n| self.nodes.contains_key(&n.0));
         if let Some(c) = corpse {
             budget -= 1;
             out.scanned += 1;
@@ -713,6 +708,10 @@ impl P2PClientCache {
         }
         // Phase 3: revolve over live primaries topping up to the floor.
         if self.cfg.replication > 1 {
+            // The crashed set cannot change inside this phase: with no
+            // corpse around, skip its set probes.
+            let any_crashed = self.overlay.crashed_len() > 0;
+            let is_crashed = |o: &Overlay, id: NodeId| any_crashed && o.is_crashed(id);
             while budget > 0 {
                 if self.repair.as_ref().expect("installed above").queue.is_empty() {
                     // Revolution complete: publish the gauge term and
@@ -720,7 +719,7 @@ impl P2PClientCache {
                     // id space ascending).
                     let mut q: Vec<u128> = Vec::new();
                     for n in self.nodes.values() {
-                        if self.overlay.is_crashed(n.id) {
+                        if is_crashed(&self.overlay, n.id) {
                             continue;
                         }
                         for obj in n.store.keys() {
@@ -744,22 +743,24 @@ impl P2PClientCache {
                 // Re-validate: the entry may have moved or died since the
                 // queue was built.
                 let Some(root) = self.root_of(obj) else { continue };
-                let Some(holder) = self.holder_of(root, obj) else { continue };
-                if self.overlay.is_crashed(holder) {
+                let Some(rn) = self.nodes.get(&root.0) else { continue };
+                let holder = if rn.store.contains(obj) {
+                    root
+                } else {
+                    let Some(&h) = rn.diverted_to.get(&obj) else { continue };
+                    h
+                };
+                if is_crashed(&self.overlay, holder) {
                     continue;
                 }
                 let floor = self.cfg.replication.min(self.nodes.len());
-                let live_copies = 1 + self
-                    .nodes
-                    .get(&root.0)
-                    .and_then(|rn| rn.replicated_to.get(&obj))
-                    .map_or(0, |hs| {
-                        hs.iter()
-                            .filter(|h| {
-                                !self.overlay.is_crashed(**h) && self.nodes.contains_key(&h.0)
-                            })
-                            .count()
-                    });
+                let live_copies = 1 + rn.replicated_to.get(&obj).map_or(0, |hs| {
+                    hs.iter()
+                        .filter(|h| {
+                            !is_crashed(&self.overlay, **h) && self.nodes.contains_key(&h.0)
+                        })
+                        .count()
+                });
                 if live_copies >= floor {
                     continue;
                 }
@@ -1075,6 +1076,11 @@ impl P2PClientCache {
     /// Number of crashed-but-undetected nodes.
     pub fn crashed_len(&self) -> usize {
         self.overlay.crashed_len()
+    }
+
+    /// True if `id` crashed silently and has not been detected yet.
+    pub fn is_crashed(&self, id: NodeId) -> bool {
+        self.overlay.is_crashed(id)
     }
 
     /// The configured replication factor `k`.
@@ -1630,7 +1636,10 @@ impl P2PClientCache {
             .and_then(|rn| rn.replicated_to.get(&object))
             .cloned()
             .unwrap_or_default();
-        let have = existing.iter().filter(|h| !self.overlay.is_crashed(**h)).count();
+        let have = existing
+            .iter()
+            .filter(|h| !self.overlay.is_crashed(**h) && self.nodes.contains_key(&h.0))
+            .count();
         let want = (self.cfg.replication - 1).saturating_sub(have);
         if want == 0 {
             return 0;
@@ -2077,6 +2086,14 @@ impl P2PClientCache {
                     self.directory.insert(*obj);
                 }
                 self.note_genuine_copy(*obj);
+                // The removed root may itself have hosted a copy: a
+                // replica host that later became the object's root, or
+                // the tiny-cluster last resort of `top_up_replicas`.
+                // That copy left with it. Its own tag names the removed
+                // node, so `unlink_replicas_hosted_by` could not unlink
+                // it, and it must not move to the new root's tracking.
+                let mut hosts = hosts;
+                hosts.retain(|h| *h != node.id);
                 if !hosts.is_empty() {
                     // Move the replica tracking to the new root and retag
                     // each copy.

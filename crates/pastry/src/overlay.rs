@@ -105,6 +105,18 @@ pub struct Overlay {
     /// and routes stay island-local until
     /// [`heal_partition`](Self::heal_partition) merges the views again.
     partition: Option<BTreeSet<u128>>,
+    /// True while every live node's leaf set is a fixpoint of the gossip
+    /// repair: re-running any node's gossip visit would change nothing.
+    /// A finished repair sets it; `join`, `start_partition` and
+    /// `heal_partition` (which change leaf sets without gossiping) clear
+    /// it. A silent crash keeps it: losing a crashed member's
+    /// contribution only shrinks a node's candidate set. While it is
+    /// clear, the next repair visits every node in its first round.
+    leaf_fixpoint: bool,
+    /// Test-only switch: repair with the full reference sweep instead of
+    /// the incremental one, so a clone can serve as the oracle.
+    #[cfg(test)]
+    full_sweep_repair: bool,
 }
 
 impl Overlay {
@@ -122,6 +134,9 @@ impl Overlay {
             ring: Vec::new(),
             crashed: BTreeSet::new(),
             partition: None,
+            leaf_fixpoint: true,
+            #[cfg(test)]
+            full_sweep_repair: false,
         }
     }
 
@@ -200,15 +215,13 @@ impl Overlay {
             return None;
         }
         let mut best: Option<(u128, NodeId)> = None;
-        // Only the nearest id below and above (with wraparound) can win.
+        // Only the nearest id at-or-above and the nearest below (with
+        // wraparound) can win. When `key` is itself live it sits at `i`
+        // and wins at distance 0, so one search serves both sides.
+        let n = self.ring.len();
         let i = self.ring.partition_point(|&k| k < key.0);
-        let above = Some(NodeId(if i == self.ring.len() { self.ring[0] } else { self.ring[i] }));
-        let j = self.ring.partition_point(|&k| k <= key.0);
-        let below = Some(NodeId(if j == 0 {
-            *self.ring.last().expect("non-empty")
-        } else {
-            self.ring[j - 1]
-        }));
+        let above = Some(NodeId(self.ring[i % n]));
+        let below = Some(NodeId(self.ring[(i + n - 1) % n]));
         for cand in [above, below].into_iter().flatten() {
             let d = cand.distance(key);
             let better = match best {
@@ -315,6 +328,7 @@ impl Overlay {
         }
         self.partition = Some(a);
         self.rebuild_views();
+        self.leaf_fixpoint = false;
         true
     }
 
@@ -327,6 +341,7 @@ impl Overlay {
             return false;
         }
         self.rebuild_views();
+        self.leaf_fixpoint = false;
         true
     }
 
@@ -404,6 +419,7 @@ impl Overlay {
         if let Some(p) = &mut self.partition {
             p.insert(new_id.0);
         }
+        self.leaf_fixpoint = false;
         let Some(seed) = seed else {
             self.nodes.insert(new_id.0, NodeState::new(new_id, self.cfg));
             self.ring_insert(new_id.0);
@@ -474,17 +490,10 @@ impl Overlay {
         if was_live {
             self.ring_remove(id.0);
         }
-        let was_crashed = self.crashed.remove(&id.0);
-        if !was_live && !was_crashed {
+        if !was_live && !self.crashed.contains(&id.0) {
             return Err(OverlayError::UnknownNode(id));
         }
-        if let Some(p) = &mut self.partition {
-            p.remove(&id.0);
-        }
-        for s in self.nodes.values_mut() {
-            s.purge(id);
-        }
-        self.repair_leaf_sets();
+        self.reclaim(id);
         Ok(())
     }
 
@@ -508,30 +517,105 @@ impl Overlay {
         }
     }
 
-    /// Detection aftermath for one crashed node: forget it everywhere and
-    /// repair leaf sets, exactly as [`fail`](Self::fail) does for an
-    /// announced failure.
+    /// Failure aftermath for a node already out of the live set (an
+    /// announced failure, or a detected crash): forget it everywhere and
+    /// repair leaf sets, starting from the nodes whose leaf set the purge
+    /// changed.
     fn reclaim(&mut self, id: NodeId) {
         self.crashed.remove(&id.0);
         if let Some(p) = &mut self.partition {
             p.remove(&id.0);
         }
-        for s in self.nodes.values_mut() {
-            s.purge(id);
+        let mut purged = Vec::new();
+        for (&k, s) in self.nodes.iter_mut() {
+            if s.purge(id) {
+                purged.push(k);
+            }
         }
-        self.repair_leaf_sets();
+        self.repair_leaf_sets(&purged);
     }
 
-    /// Gossip leaf-set repair: each node offers its leaf set to its leaf
-    /// members, rounds repeating until nothing changes. This is the steady
-    /// state the real lazy repair protocol converges to.
-    fn repair_leaf_sets(&mut self) {
+    /// Gossip leaf-set repair: each node pulls its leaf members' leaf
+    /// sets, rounds walking the ring in id order until a round changes
+    /// nothing. This is the steady state the real lazy repair protocol
+    /// converges to.
+    ///
+    /// A visit's outcome depends only on the node's own leaf set and its
+    /// members' leaf sets, and [`NodeState::consider_for_leaf`] keeps the
+    /// nearest `l/2` per side whatever the candidate order. So once a
+    /// node has been visited, visiting it again changes nothing until its
+    /// own leaf set or a member's changes — the walk skips it until then.
+    /// `purged` seeds the change log: the nodes whose leaf set lost the
+    /// dead node. The skipping is exact only if the state before the
+    /// purge was a fixpoint; when it may not be (`leaf_fixpoint` clear),
+    /// the first round visits every node, as the full sweep does. The
+    /// visits that remain are the full sweep's visits that change
+    /// something, in the same order, so the fixpoint is bit-identical.
+    fn repair_leaf_sets(&mut self, purged: &[u128]) {
+        #[cfg(test)]
+        if self.full_sweep_repair {
+            self.repair_leaf_sets_full();
+            return;
+        }
+        // Logical clock of leaf-set changes: `changed[y]` is the tick of
+        // y's latest change, `visited[y]` the tick y's latest visit read
+        // its inputs at (absent = 0, before the purge's changes at 1).
+        let mut tick = 1u32;
+        let mut changed: ShaIdMap<u128, u32> = purged.iter().map(|&k| (k, tick)).collect();
+        let mut visited: ShaIdMap<u128, u32> = ShaIdMap::default();
+        let mut candidates: Vec<NodeId> = Vec::new();
+        let mut full_round = !self.leaf_fixpoint;
+        loop {
+            let mut round_changed = false;
+            for i in 0..self.ring.len() {
+                let y = self.ring[i];
+                let ys = &self.nodes[&y];
+                if !full_round {
+                    let since = visited.get(&y).copied().unwrap_or(0);
+                    let newer = |k: u128| changed.get(&k).is_some_and(|&t| t > since);
+                    if !newer(y) && !ys.leaf_iter().any(|m| newer(m.0)) {
+                        continue;
+                    }
+                }
+                visited.insert(y, tick);
+                // Collect the candidates first (a gossip "pull" from the
+                // node's current leaf members), then apply.
+                candidates.clear();
+                for m in ys.leaf_iter() {
+                    if let Some(ms) = self.nodes.get(&m.0) {
+                        candidates.extend(ms.leaf_iter());
+                    }
+                }
+                let ys = self.nodes.get_mut(&y).expect("live node");
+                let mut mine = false;
+                for &c in &candidates {
+                    if c.0 != y {
+                        mine |= ys.consider_for_leaf(c);
+                    }
+                }
+                if mine {
+                    tick += 1;
+                    changed.insert(y, tick);
+                    round_changed = true;
+                }
+            }
+            full_round = false;
+            if !round_changed {
+                break;
+            }
+        }
+        self.leaf_fixpoint = true;
+    }
+
+    /// Reference gossip repair: every round visits every node. The
+    /// incremental [`repair_leaf_sets`](Self::repair_leaf_sets) must
+    /// reach the same state; kept as the property-test oracle.
+    #[cfg(test)]
+    fn repair_leaf_sets_full(&mut self) {
         loop {
             let mut changed = false;
             let ids: Vec<u128> = self.ring.clone();
             for &y in &ids {
-                // Collect the candidates first (a gossip "pull" from the
-                // node's current leaf members), then apply.
                 let members = self.nodes[&y].leaf_members();
                 let mut candidates: Vec<NodeId> = Vec::new();
                 for m in &members {
@@ -550,6 +634,7 @@ impl Overlay {
                 break;
             }
         }
+        self.leaf_fixpoint = true;
     }
 
     /// Routes `key` from node `from` following per-node state only.
@@ -1291,6 +1376,37 @@ mod tests {
         assert_eq!(o.crashed_len(), 1, "the silent crash stays undetected through the heal");
     }
 
+    /// First difference between two overlays' membership and per-node
+    /// routing state (leaf sides and every routing-table slot).
+    fn view_difference(a: &Overlay, b: &Overlay) -> Option<String> {
+        if a.ring != b.ring || a.crashed != b.crashed || a.partition != b.partition {
+            return Some("membership differs".into());
+        }
+        for &k in &a.ring {
+            let (x, y) = (&a.nodes[&k], &b.nodes[&k]);
+            if x.leaf_cw() != y.leaf_cw() || x.leaf_ccw() != y.leaf_ccw() {
+                return Some(format!("node {k:032x}: leaf sets differ"));
+            }
+            for row in 0..a.cfg.digits() {
+                if x.table_row(row) != y.table_row(row) {
+                    return Some(format!("node {k:032x}: routing-table row {row} differs"));
+                }
+            }
+        }
+        None
+    }
+
+    /// A live id chosen by `pick`, or `None` on an empty overlay.
+    fn pick_live(o: &Overlay, pick: usize) -> Option<NodeId> {
+        (!o.is_empty()).then(|| NodeId(o.ring[pick % o.len()]))
+    }
+
+    /// A crashed-but-undetected id chosen by `pick`, if any.
+    fn pick_crashed(o: &Overlay, pick: usize) -> Option<NodeId> {
+        (o.crashed_len() > 0)
+            .then(|| o.crashed_ids().nth(pick % o.crashed_len()).expect("in range"))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
         #[test]
@@ -1388,6 +1504,94 @@ mod tests {
                 let owner = o.owner_of(key).unwrap();
                 let from = froms[rng.random_range(0..froms.len())];
                 proptest::prop_assert_eq!(o.lookup(from, key), Some(owner));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // More cases than the blocks above: a wrong skip rule shows only
+        // on some schedules.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// The incremental repair reaches exactly the full sweep's state:
+        /// after every membership step of a random schedule, every node's
+        /// leaf sets and routing table equal those of a twin overlay that
+        /// repairs with the reference sweep.
+        #[test]
+        fn incremental_repair_matches_full_sweep(
+            seed in 0u64..500,
+            n in 8usize..300,
+            // Each step: (operation, pick). 0 = join, 1 = silent crash,
+            // 2 = announced fail, 3 = route-triggered detection, 4 =
+            // rejoin of a crashed id, 5 = start a partition, 6 = heal.
+            schedule in proptest::collection::vec(
+                (0u8..7, proptest::prelude::any::<usize>()),
+                4..24,
+            ),
+        ) {
+            let mut o = build(n, seed);
+            let mut reference = o.clone();
+            reference.full_sweep_repair = true;
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x51EE);
+            for (op, pick) in schedule {
+                match op {
+                    0 => {
+                        let mut id = NodeId(rng.random());
+                        while o.contains(id) || o.is_crashed(id) {
+                            id = NodeId(rng.random());
+                        }
+                        o.join(id);
+                        reference.join(id);
+                    }
+                    1 => {
+                        if o.len() > 2 {
+                            let victim = pick_live(&o, pick).expect("non-empty");
+                            proptest::prop_assert_eq!(o.crash(victim), reference.crash(victim));
+                        }
+                    }
+                    2 => {
+                        // Even picks prefer a corpse (an oracle announcing
+                        // a crash), odd ones a live node.
+                        let corpse = if pick % 2 == 0 { pick_crashed(&o, pick / 2) } else { None };
+                        let live = if o.len() > 2 { pick_live(&o, pick) } else { None };
+                        if let Some(v) = corpse.or(live) {
+                            proptest::prop_assert_eq!(o.fail(v), reference.fail(v));
+                        }
+                    }
+                    3 => {
+                        if let Some(from) = pick_live(&o, pick) {
+                            // Aim at a corpse's id when there is one, so the
+                            // walk is likely to time out on it.
+                            let key = pick_crashed(&o, pick / 3).unwrap_or(NodeId(rng.random()));
+                            let got = o.route_detecting(from, key, || false).expect("live");
+                            let want = reference.route_detecting(from, key, || false);
+                            let want = want.expect("live");
+                            proptest::prop_assert_eq!(
+                                (got.destination, got.hops, got.timeouts, got.detected),
+                                (want.destination, want.hops, want.timeouts, want.detected)
+                            );
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = pick_crashed(&o, pick) {
+                            proptest::prop_assert_eq!(o.join(id), reference.join(id));
+                        }
+                    }
+                    5 => {
+                        if o.len() >= 4 && !o.is_partitioned() {
+                            let cut = 1 + pick % (o.len() - 1);
+                            let a: Vec<NodeId> = o.node_ids().take(cut).collect();
+                            proptest::prop_assert_eq!(
+                                o.start_partition(a.clone()),
+                                reference.start_partition(a)
+                            );
+                        }
+                    }
+                    _ => {
+                        proptest::prop_assert_eq!(o.heal_partition(), reference.heal_partition());
+                    }
+                }
+                let diff = view_difference(&o, &reference);
+                proptest::prop_assert!(diff.is_none(), "after op {}: {:?}", op, diff);
             }
         }
     }

@@ -208,22 +208,12 @@ impl NodeState {
     }
 
     /// Forgets a failed peer entirely (leaf set and routing table) — the
-    /// per-node half of failure repair. Returns true if any state changed,
-    /// which is what decides whether this node would gossip the repair.
+    /// per-node half of failure repair. Returns true if the leaf set
+    /// changed, which is what decides whether this node must gossip the
+    /// repair (routing tables are not gossiped).
     pub fn purge(&mut self, dead: NodeId) -> bool {
-        let in_leaf = self.remove_from_leaf(dead);
-        let in_table = if let Some((row, col)) = self.slot_for(dead) {
-            let s = self.slot(row, col);
-            if self.table[s] == Some(dead) {
-                self.table[s] = None;
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
-        in_leaf || in_table
+        self.remove_from_table(dead);
+        self.remove_from_leaf(dead)
     }
 
     /// Forgets every peer matching `pred` (leaf set and routing table) —

@@ -159,3 +159,33 @@ fn churn_costs_latency_but_not_correctness() {
         stormy.avg_latency()
     );
 }
+
+/// Regression: the benchmark churn drill at seed 51 (250k requests, 256
+/// machines, `k = 2`, transport faults, failure domains, paced repair and
+/// a crash/burst/depart/domain-failure/rejoin schedule) once broke a P2P
+/// invariant right after its domain failure — a reclaimed host was still
+/// listed in a root's replica set.
+#[test]
+fn seed_51_benchmark_drill_keeps_the_invariants() {
+    use webcache::primitives::seed::{derive, derive_indexed};
+    use webcache::sim::ClockMode;
+    let mut plan: FaultPlan = "loss=0.01,mloss=0.01,dup=0.01,reorder=0.01,domains=8,repair=4,\
+         crash@30000,crash@90000,crash@120000,crash@180000,burst@60000:6,depart@100000,\
+         domainfail@150000:3,rejoin@200000"
+        .parse()
+        .expect("plan parses");
+    plan.seed = derive(51, "fault-plan");
+    let cfg = ChurnConfig {
+        requests: 250_000,
+        distinct_objects: 10_000,
+        clients_per_cluster: 256,
+        trace_seed: derive_indexed(51, "proxy-trace", 0),
+        net: NetworkModel::default().scaled(1.0 / 16.0),
+        plan,
+        clock: ClockMode::Event,
+        ..ChurnConfig::default()
+    };
+    let report = run_churn(&cfg).expect("drill runs");
+    assert_eq!(report.invariant_violations, 0);
+    assert_eq!(report.availability_percent, 100.0);
+}
